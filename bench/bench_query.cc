@@ -1,10 +1,10 @@
-// Triple-pattern query engine benchmark: per-mask pattern-scan latency
-// (p50/p99 + total) against the hexastore orderings, and a head-to-head of
-// the fixpoint's per-(term, relation) probe — the old binary search over
-// the full adjacency span (core::FactsWithRelation) vs the new per-term
-// relation directory (TripleStore::FactsCursor) — on a deliberately
-// high-degree ontology where the directory's O(log distinct-relations)
-// advantage is visible.
+// Triple-pattern query engine benchmark: per-mask pattern-count latency
+// (p50/p99 + total) of rdf::TripleStore's CSR access paths, and a
+// head-to-head of the fixpoint's per-(term, relation) probe — the old
+// binary search over the full adjacency span (core::FactsWithRelation) vs
+// the per-term relation directory (TripleStore::FactsCursor) — on a
+// deliberately high-degree ontology where the directory's
+// O(log distinct-relations) advantage is visible.
 //
 // Emits the same JSON shape as bench_parallel / bench_service
 // (hardware_threads + phases), so scripts/check_bench_regression.py gates
@@ -29,7 +29,7 @@
 #include "paris/rdf/store.h"
 #include "paris/rdf/term.h"
 #include "paris/rdf/triple.h"
-#include "paris/storage/tri_index.h"
+#include "paris/storage/triple_pattern.h"
 #include "paris/util/logging.h"
 #include "paris/util/random.h"
 
@@ -124,13 +124,12 @@ int Main(int argc, char** argv) {
   rdf::TermPool pool;
   const ontology::Ontology onto = BuildDense(&pool);
   const rdf::TripleStore& store = onto.store();
-  const storage::TriIndex& tri = store.tri();
 
   // Deterministic query mix drawn from actual statements.
   std::vector<rdf::Triple> seeds;
   seeds.reserve(kQueries);
   {
-    const std::vector<rdf::Triple> all = tri.Collect({});
+    const std::vector<rdf::Triple> all = store.Collect({});
     util::Rng rng(0xBEEF);
     for (size_t i = 0; i < kQueries; ++i) {
       seeds.push_back(
@@ -152,7 +151,7 @@ int Main(int argc, char** argv) {
     const double start = Now();
     for (const rdf::Triple& seed : seeds) {
       const double t0 = Now();
-      sink += tri.Count(make_pattern(seed));
+      sink += store.Count(make_pattern(seed));
       latencies.push_back(Now() - t0);
     }
     const double total = Now() - start;

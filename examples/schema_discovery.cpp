@@ -38,18 +38,18 @@ paris::rdf::RelId FindRel(const paris::ontology::Ontology& onto,
 }
 
 // Prints one side's relation inventory straight off the pattern engine:
-// one DistinctBindings scan for the relation ids, one O(log n) Count per
+// one DistinctBindings scan for the relation ids, one O(1) Count per
 // relation for its statement count.
 void PrintSchema(const char* label, const paris::ontology::Ontology& onto) {
-  const paris::storage::TriIndex& tri = onto.store().tri();
-  const std::vector<uint32_t> rels = tri.DistinctBindings(
+  const paris::rdf::TripleStore& store = onto.store();
+  const std::vector<uint32_t> rels = store.DistinctBindings(
       paris::storage::TriplePattern(), paris::storage::TriPos::kRel);
   std::printf("%s: %zu classes, %zu relations\n", label,
               onto.classes().size(), rels.size());
   for (uint32_t rel : rels) {
     const auto r = static_cast<paris::rdf::RelId>(rel);
     std::printf("  %-22s %6llu facts\n", onto.RelationName(r).c_str(),
-                static_cast<unsigned long long>(tri.Count(
+                static_cast<unsigned long long>(store.Count(
                     paris::storage::TriplePattern().BindRel(r))));
   }
 }
@@ -80,8 +80,8 @@ int main(int argc, char** argv) {
   PrintSchema("\nleft schema", left);
   PrintSchema("\nright schema", right);
 
-  // A bound-relation pattern is one range scan of the POS ordering; sample
-  // a few y:wasBornIn statements through the facade.
+  // A bound-relation pattern walks that relation's packed pairs; sample a
+  // few y:wasBornIn statements through the facade.
   const paris::rdf::RelId born_in = FindRel(left, "y:wasBornIn");
   if (born_in != paris::rdf::kNullRel) {
     auto sample = session.Query(
@@ -103,10 +103,10 @@ int main(int argc, char** argv) {
   const paris::rdf::RelId right_name = FindRel(right, "dbp:birthName");
   if (left_label != paris::rdf::kNullRel &&
       right_name != paris::rdf::kNullRel) {
-    const std::vector<uint32_t> shared = paris::storage::MergeJoin(
-        left.store().tri(),
+    const std::vector<uint32_t> shared = paris::rdf::MergeJoin(
+        left.store(),
         paris::storage::TriplePattern().BindRel(left_label),
-        paris::storage::TriPos::kObject, right.store().tri(),
+        paris::storage::TriPos::kObject, right.store(),
         paris::storage::TriplePattern().BindRel(right_name),
         paris::storage::TriPos::kObject);
     std::printf(

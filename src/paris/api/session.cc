@@ -436,7 +436,7 @@ util::StatusOr<std::vector<rdf::Triple>> Session::Query(
   }
   const ontology::Ontology& onto =
       side == DeltaSide::kLeft ? *left_ : *right_;
-  return onto.store().tri().Collect(pattern, limit);
+  return onto.store().Collect(pattern, limit);
 }
 
 util::Status Session::Export(const std::string& prefix) const {

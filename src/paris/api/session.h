@@ -19,7 +19,7 @@
 #include "paris/ontology/snapshot.h"
 #include "paris/rdf/ntriples.h"
 #include "paris/rdf/term.h"
-#include "paris/storage/tri_index.h"
+#include "paris/storage/triple_pattern.h"
 #include "paris/util/status.h"
 #include "paris/util/thread_pool.h"
 
@@ -287,15 +287,17 @@ class Session {
 
   // ---- Inspect / export --------------------------------------------------
 
-  // Evaluates one triple pattern against one side's statements via the
-  // hexastore-style orderings (storage::TriIndex): every combination of
-  // bound / variable / ignored subject, relation, and object positions is
-  // answered by a single range scan of the best-fit ordering — no full
-  // scans except the all-variable pattern. A bound relation may be an
-  // inverse id (the matching statements are returned in their positive
-  // direction). Matches arrive as whole triples, deduplicated when ignored
-  // positions would collapse distinct statements; `limit` = 0 means no
-  // limit. FailedPrecondition when nothing is loaded.
+  // Evaluates one triple pattern against one side's statements
+  // (rdf::TripleStore::Scan): every combination of bound / variable /
+  // ignored subject, relation, and object positions is answered from the
+  // packed CSR — the subject's facts, the object's inverse facts, or a
+  // relation's pairs — so only the all-variable pattern walks the whole
+  // store. A bound relation may be an inverse id (the matching statements
+  // are returned in their positive direction). Matches arrive as whole
+  // triples in the per-shape order documented on TripleStore::Scan,
+  // deduplicated when ignored positions would collapse distinct
+  // statements; `limit` = 0 means no limit. FailedPrecondition when
+  // nothing is loaded.
   //
   //   auto triples = session.Query(
   //       Session::DeltaSide::kLeft,

@@ -22,11 +22,11 @@ namespace paris::ontology {
 
 // Both ontologies must share one term pool (the normal alignment setup).
 // `version` selects the format version to write (compat tests write a
-// downlevel storage::kMinSnapshotVersion file); it must lie in
-// [storage::kMinSnapshotVersion, storage::kSnapshotVersion].
-util::Status SaveAlignmentSnapshot(const std::string& path,
-                                   const Ontology& left, const Ontology& right,
-                                   uint32_t version = storage::kSnapshotVersion);
+// downlevel storage::kMinSnapshotVersion file); it must be one of those
+// two — v3 files still load but are no longer written.
+util::Status SaveAlignmentSnapshot(
+    const std::string& path, const Ontology& left, const Ontology& right,
+    uint32_t version = storage::kSnapshotVersion);
 
 struct AlignmentSnapshot {
   Ontology left;

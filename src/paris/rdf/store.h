@@ -14,7 +14,7 @@
 #include "paris/rdf/term.h"
 #include "paris/rdf/triple.h"
 #include "paris/storage/columnar_index.h"
-#include "paris/storage/tri_index.h"
+#include "paris/storage/triple_pattern.h"
 #include "paris/util/status.h"
 
 namespace paris::storage {
@@ -35,10 +35,10 @@ namespace paris::rdf {
 //
 // Usage: `Add()` triples, then `Finalize()` exactly once; all read accessors
 // require a finalized store. Finalization packs the statements into a
-// `storage::ColumnarIndex` — CSR adjacency plus sorted SPO/POS permutations
-// — so every read accessor returns a span into the packed columns and never
-// allocates. `Finalize()` also removes duplicate statements (an RDFS
-// ontology is a *set* of triples).
+// `storage::ColumnarIndex` — CSR adjacency (inverses under negated ids)
+// plus per-relation POS pairs — so every read accessor returns a span into
+// the packed columns and never allocates. `Finalize()` also removes
+// duplicate statements (an RDFS ontology is a *set* of triples).
 class TripleStore {
  public:
   explicit TripleStore(TermPool* pool) : pool_(pool) {}
@@ -193,19 +193,52 @@ class TripleStore {
   // The packed storage engine (benchmarks, snapshot deep-equality).
   const storage::ColumnarIndex& index() const { return index_; }
 
-  // The hexastore-style triple-pattern orderings over this store's
-  // distinct statements (query engine; see storage::TriplePattern).
-  // Subject/object components are global term ids.
-  const storage::TriIndex& tri() const { return tri_; }
+  // ---- Triple-pattern queries (see storage::TriplePattern) ----
+  //
+  // Answered from the packed index itself, one access path per bound
+  // shape (after a bound inverse relation `-r` is normalized to `r` by
+  // swapping the subject and object slots):
+  //
+  //   S, SP, SPO   the subject's positive facts          order (p, o)
+  //   SO           the subject's positive directory rows,
+  //                one probe per relation                order p
+  //   PO, O        the object's inverse facts            order (p, s)
+  //   P            PairsOf(p)                            order (s, o)
+  //   none         PairsOf, relation by relation         order (p, s, o)
+  //
+  // Emitted triples carry positive relations and global term ids. Ignored
+  // positions report as kNullTerm / kNullRel, and matches that differ only
+  // there are emitted once, in first-seen walk order. A bound relation
+  // outside [-R, -1] ∪ [1, R] matches nothing.
+
+  // Emits every match in its shape's order, stopping after `limit`
+  // matches (0 = no limit). Returns the number of matches emitted.
+  size_t Scan(const storage::TriplePattern& pattern, size_t limit,
+              const std::function<void(const Triple&)>& fn) const;
+
+  std::vector<Triple> Collect(const storage::TriplePattern& pattern,
+                              size_t limit = 0) const;
+
+  // Number of matches. O(log n) for ignore-free patterns whose matches
+  // are one packed span (P, S+P, P+O, none); otherwise a counting scan.
+  uint64_t Count(const storage::TriplePattern& pattern) const;
+
+  // Sorted distinct bindings of free position `pos` across every match of
+  // `pattern` (whose `pos` slot must not be bound); the other free
+  // positions are treated as ignored. Stops after `limit` distinct values
+  // (0 = no limit).
+  std::vector<uint32_t> DistinctBindings(const storage::TriplePattern& pattern,
+                                         storage::TriPos pos,
+                                         size_t limit = 0) const;
 
   // ---- Snapshot I/O (see src/storage/README.md) ----
 
   // Serializes the relation registry, term dictionary, and packed index as
   // one section. Requires a finalized store; term ids reference the pool,
   // which must be saved alongside (storage::SaveTermPool). The no-argument
-  // form writes the current format version; `version` ==
-  // storage::kMinSnapshotVersion writes a downlevel v2 section (CSR/POS
-  // only — no TriIndex orderings or relation directory).
+  // form writes the current format version (v4: CSR/POS plus the relation
+  // directory); `version` == storage::kMinSnapshotVersion writes a
+  // downlevel v2 section (CSR/POS only).
   void SaveTo(storage::SnapshotWriter& writer) const;
   void SaveTo(storage::SnapshotWriter& writer, uint32_t version) const;
 
@@ -214,10 +247,10 @@ class TripleStore {
   // memory-backed reader (mmap'ed snapshot) the packed index columns
   // become zero-copy views into the mapping — only the dictionary hash
   // tables and the derived object column are materialized. `version` is
-  // the snapshot file's format version: v3 sections carry the TriIndex
-  // orderings and relation directory (adopted zero-copy), v2 sections get
-  // them rebuilt in memory. The two-argument form loads the current
-  // version.
+  // the snapshot file's format version: v3 and v4 sections carry the
+  // relation directory (adopted zero-copy), v2 sections get it rebuilt in
+  // memory; the three v3 triple-ordering columns are read past, checksummed
+  // but not adopted. The two-argument form loads the current version.
   static util::StatusOr<TripleStore> LoadFrom(storage::SnapshotReader& reader,
                                               TermPool* pool);
   static util::StatusOr<TripleStore> LoadFrom(storage::SnapshotReader& reader,
@@ -226,6 +259,9 @@ class TripleStore {
 
  private:
   uint32_t LocalIndex(TermId t);
+  // The packed local index of `t`; nullopt when `t` is unknown or was first
+  // seen by a staged (unmerged) delta.
+  std::optional<uint32_t> PackedLocal(TermId t) const;
 
   TermPool* pool_;
   bool finalized_ = false;
@@ -243,10 +279,40 @@ class TripleStore {
 
   // The packed engine (empty until Finalize()).
   storage::ColumnarIndex index_;
-
-  // The SPO/POS/OSP orderings, kept in lockstep with index_.
-  storage::TriIndex tri_;
 };
+
+// Merge-join of a two-pattern conjunction on one shared variable: the
+// sorted distinct values v such that `a` with its `a_pos` slot bound to v
+// matches in `a_store` and `b` with `b_pos` bound to v matches in
+// `b_store`. The two patterns may address the same store (self-join) or two
+// ontologies' stores that share a term pool. Stops after `limit` values
+// (0 = no limit).
+std::vector<uint32_t> MergeJoin(const TripleStore& a_store,
+                                const storage::TriplePattern& a,
+                                storage::TriPos a_pos,
+                                const TripleStore& b_store,
+                                const storage::TriplePattern& b,
+                                storage::TriPos b_pos, size_t limit = 0);
+
+// ---- Pattern tokens (paris_query, the daemon's QUERY and LOOKUP verbs) ----
+
+// A term token: `#<id>` (a raw pool id; InvalidArgument when out of range)
+// or a lexical IRI (NotFound when the pool has no such IRI).
+util::StatusOr<TermId> ResolveTermToken(const TermPool& pool,
+                                        std::string_view token);
+
+// A relation token of `store`: an optional `-` prefix (inverse direction),
+// then `#<id>` (a raw relation id in [1, R]; InvalidArgument otherwise) or
+// the relation's lexical IRI name (NotFound when `store` has no such
+// relation).
+util::StatusOr<RelId> ResolveRelationToken(const TripleStore& store,
+                                           std::string_view token);
+
+// One pattern from its three position tokens. Each token is `?` (variable),
+// `_` (ignored), or a term / relation token as above.
+util::StatusOr<storage::TriplePattern> ParsePatternTokens(
+    const TripleStore& store, std::string_view subject,
+    std::string_view relation, std::string_view object);
 
 }  // namespace paris::rdf
 

@@ -105,6 +105,32 @@ bool SnapshotReader::ReadBytes(void* data, size_t size) {
   return true;
 }
 
+bool SnapshotReader::SkipPodArray(size_t element_size) {
+  const uint64_t n = ReadU64();
+  if (n > kMaxElements) {
+    failed_ = true;
+    return false;
+  }
+  SkipAlignmentPadding();
+  uint64_t remaining = n * element_size;
+  if (memory_backed()) {
+    if (failed_ || remaining > size_ - pos_) {
+      failed_ = true;
+      return false;
+    }
+    pos_ += remaining;
+    return true;
+  }
+  unsigned char scratch[1 << 12];
+  while (remaining > 0) {
+    const size_t take =
+        static_cast<size_t>(std::min<uint64_t>(sizeof(scratch), remaining));
+    if (!ReadBytes(scratch, take)) return false;
+    remaining -= take;
+  }
+  return ok();
+}
+
 void SnapshotReader::SkipAlignmentPadding() {
   const size_t pad = (8 - pos_ % 8) % 8;
   if (pad == 0) return;

@@ -36,11 +36,15 @@ namespace paris::storage {
 
 inline constexpr char kSnapshotMagic[8] = {'P', 'A', 'R', 'I',
                                            'S', 'N', 'P', '\n'};
-// Current write version. v3 appends the TriIndex orderings (SPO/POS/OSP)
-// and the per-term relation directory as additional zero-copy column
-// families; v2 files (CSR/POS only) still load, with those families
-// rebuilt in memory.
-inline constexpr uint32_t kSnapshotVersion = 3;
+// Current write version. Version history of the ontology sections:
+//   v2  CSR/POS columns only; the relation directory is rebuilt on load.
+//   v3  v2 + the per-term relation directory + three sorted triple
+//       orderings (SPO/POS/OSP, 12-byte rows). Still loads; the orderings
+//       are checksummed and skipped, never adopted.
+//   v4  v3 without the orderings: CSR/POS + relation directory, all
+//       zero-copy under mmap. Triple patterns are answered from the CSR.
+// The writer emits v4, or v2 on request; v3 is read-only.
+inline constexpr uint32_t kSnapshotVersion = 4;
 // Oldest ontology-snapshot version the loaders accept.
 inline constexpr uint32_t kMinSnapshotVersion = 2;
 
@@ -196,6 +200,11 @@ class SnapshotReader {
     *out = Column<T>::FromOwned(std::move(values));
     return true;
   }
+
+  // Consumes one length-prefixed POD array of `element_size`-byte rows
+  // without keeping it: hashed in streaming mode (bounded scratch memory),
+  // bounds-checked in memory-backed mode.
+  bool SkipPodArray(size_t element_size);
 
   // Reads the trailing checksum *without* hashing it, for comparison against
   // `checksum()` of everything consumed so far.

@@ -10,10 +10,16 @@
 //   <name>   a lexical IRI (the relation may be prefixed `-` for the
 //            inverse direction)
 //
-// Every pattern is answered by a single range scan of the best-fit
-// hexastore ordering (storage::TriIndex); matches print as
-// subject<TAB>relation<TAB>object lines in that ordering's sort order,
-// with `_` for ignored positions.
+// Patterns are answered from the packed CSR (rdf::TripleStore::Scan).
+// Matches print as subject<TAB>relation<TAB>object lines, with `_` for
+// ignored positions, ordered per bound shape (after a `-r` relation is
+// rewritten to `r` with S and O swapped):
+//   S, S P, S P O   relation, then object
+//   S O             relation
+//   P O             subject
+//   O               relation, then subject
+//   P               subject, then object
+//   none            relation, then subject, then object
 //
 // Exit status 0 on success (including zero matches), 1 on usage, load, or
 // resolution errors.
@@ -29,50 +35,6 @@ namespace {
 int Fail(const paris::util::Status& status) {
   std::fprintf(stderr, "paris_query: %s\n", status.ToString().c_str());
   return 1;
-}
-
-paris::util::StatusOr<paris::rdf::TermId> ResolveTerm(
-    const paris::ontology::Ontology& onto, const std::string& key) {
-  if (!key.empty() && key[0] == '#') {
-    long long raw = 0;
-    if (!paris::util::ParseFullInt64(key.substr(1), &raw) || raw < 0 ||
-        static_cast<size_t>(raw) >= onto.pool().size()) {
-      return paris::util::InvalidArgumentError("bad raw term id '" + key +
-                                               "'");
-    }
-    return static_cast<paris::rdf::TermId>(raw);
-  }
-  const auto id = onto.pool().Find(key, paris::rdf::TermKind::kIri);
-  if (!id.has_value()) {
-    return paris::util::NotFoundError("unknown term '" + key + "'");
-  }
-  return *id;
-}
-
-paris::util::StatusOr<paris::rdf::RelId> ResolveRelation(
-    const paris::ontology::Ontology& onto, const std::string& key) {
-  std::string name = key;
-  bool inverse = false;
-  if (!name.empty() && name[0] == '-') {
-    inverse = true;
-    name = name.substr(1);
-  }
-  if (!name.empty() && name[0] == '#') {
-    long long raw = 0;
-    if (!paris::util::ParseFullInt64(name.substr(1), &raw) || raw < 1 ||
-        static_cast<size_t>(raw) > onto.store().num_relations()) {
-      return paris::util::InvalidArgumentError("bad raw relation id '" + key +
-                                               "'");
-    }
-    const auto rel = static_cast<paris::rdf::RelId>(raw);
-    return inverse ? paris::rdf::Inverse(rel) : rel;
-  }
-  const auto name_id = onto.pool().Find(name, paris::rdf::TermKind::kIri);
-  if (name_id.has_value()) {
-    const auto rel = onto.store().FindRelation(*name_id);
-    if (rel.has_value()) return inverse ? paris::rdf::Inverse(*rel) : *rel;
-  }
-  return paris::util::NotFoundError("unknown relation '" + name + "'");
 }
 
 }  // namespace
@@ -127,45 +89,25 @@ int main(int argc, char** argv) {
   const paris::ontology::Ontology& onto =
       side_is_left ? session.left() : session.right();
 
-  paris::storage::TriplePattern pattern;
-  const std::string& s = args[base + 1];
-  const std::string& p = args[base + 2];
-  const std::string& o = args[base + 3];
-  if (s == "_") {
-    pattern.IgnoreSubject();
-  } else if (s != "?") {
-    auto id = ResolveTerm(onto, s);
-    if (!id.ok()) return Fail(id.status());
-    pattern.BindSubject(*id);
-  }
-  if (p == "_") {
-    pattern.IgnoreRel();
-  } else if (p != "?") {
-    auto rel = ResolveRelation(onto, p);
-    if (!rel.ok()) return Fail(rel.status());
-    pattern.BindRel(*rel);
-  }
-  if (o == "_") {
-    pattern.IgnoreObject();
-  } else if (o != "?") {
-    auto id = ResolveTerm(onto, o);
-    if (!id.ok()) return Fail(id.status());
-    pattern.BindObject(*id);
-  }
+  const auto pattern = paris::rdf::ParsePatternTokens(
+      onto.store(), args[base + 1], args[base + 2], args[base + 3]);
+  if (!pattern.ok()) return Fail(pattern.status());
 
   if (count_only) {
     std::printf("%llu\n", static_cast<unsigned long long>(
-                              onto.store().tri().Count(pattern)));
+                              onto.store().Count(*pattern)));
     return 0;
   }
-  auto matches = session.Query(side, pattern, limit);
+  auto matches = session.Query(side, *pattern, limit);
   if (!matches.ok()) return Fail(matches.status());
   for (const paris::rdf::Triple& t : *matches) {
-    std::printf(
-        "%s\t%s\t%s\n",
-        t.subject == paris::rdf::kNullTerm ? "_" : onto.TermName(t.subject).c_str(),
-        t.rel == paris::rdf::kNullRel ? "_" : onto.RelationName(t.rel).c_str(),
-        t.object == paris::rdf::kNullTerm ? "_" : onto.TermName(t.object).c_str());
+    const std::string subject =
+        t.subject == paris::rdf::kNullTerm ? "_" : onto.TermName(t.subject);
+    const std::string rel =
+        t.rel == paris::rdf::kNullRel ? "_" : onto.RelationName(t.rel);
+    const std::string object =
+        t.object == paris::rdf::kNullTerm ? "_" : onto.TermName(t.object);
+    std::printf("%s\t%s\t%s\n", subject.c_str(), rel.c_str(), object.c_str());
   }
   return 0;
 }

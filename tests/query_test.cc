@@ -1,11 +1,11 @@
-// Tests for the hexastore-style triple-pattern engine (storage::TriIndex),
-// its persistence (snapshot v3 columns + v2 rebuild), the Session::Query
-// facade, and the aligner's byte-identity guarantee over the new fast
-// access paths (per-term relation directory, packed type index).
+// Tests for the triple-pattern engine over the packed CSR
+// (rdf::TripleStore::Scan and friends), snapshot compatibility (v4 round
+// trip, a committed v3 fixture, v2 rebuild), the Session::Query facade, and
+// the aligner's byte-identity guarantee over the fast access paths
+// (per-term relation directory, packed type index).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -24,7 +24,7 @@
 #include "paris/rdf/term.h"
 #include "paris/rdf/triple.h"
 #include "paris/storage/snapshot.h"
-#include "paris/storage/tri_index.h"
+#include "paris/storage/triple_pattern.h"
 #include "paris/util/status.h"
 
 namespace paris {
@@ -33,10 +33,8 @@ namespace {
 using rdf::RelId;
 using rdf::TermId;
 using rdf::Triple;
-using storage::TriIndex;
 using storage::TriplePattern;
 using storage::TriPos;
-using storage::TriRow;
 
 using Slot = TriplePattern::Slot;
 
@@ -56,7 +54,7 @@ std::set<Key> KeySet(const std::vector<Triple>& triples) {
 }
 
 // Every actual statement of a store, as positive-relation triples, by
-// walking the per-term adjacency directly (independent of TriIndex).
+// walking the per-term adjacency directly (independent of the engine).
 std::vector<Triple> AllTriples(const rdf::TripleStore& store) {
   std::vector<Triple> out;
   for (TermId t : store.terms()) {
@@ -107,20 +105,95 @@ void ApplySlot(TriplePattern* p, TriPos pos, Slot state, const Triple& bind) {
   }
 }
 
-void ExpectSameRows(const TriIndex& a, const TriIndex& b) {
-  auto rows_equal = [](std::span<const TriRow> x, std::span<const TriRow> y) {
-    return x.size() == y.size() && std::equal(x.begin(), x.end(), y.begin());
-  };
-  EXPECT_TRUE(rows_equal(a.spo_rows(), b.spo_rows()));
-  EXPECT_TRUE(rows_equal(a.pos_rows(), b.pos_rows()));
-  EXPECT_TRUE(rows_equal(a.osp_rows(), b.osp_rows()));
+// Seed bindings for the 27-combination oracle: every real triple (so each
+// bound value sits at every position of its packed runs), one absent
+// object, relation id 0, and an out-of-range relation id (the last two
+// must match nothing).
+std::vector<Triple> OracleSeeds(const rdf::TripleStore& store,
+                                const std::vector<Triple>& all,
+                                const rdf::TermPool& pool) {
+  std::vector<Triple> seeds = all;
+  seeds.push_back(Triple{all.front().subject, all.back().rel,
+                         static_cast<TermId>(pool.size() + 5)});
+  seeds.push_back(Triple{all.front().subject, rdf::kNullRel,
+                         all.front().object});
+  seeds.push_back(
+      Triple{all.front().subject,
+             static_cast<RelId>(store.num_relations() + 1),
+             all.front().object});
+  return seeds;
+}
+
+// Calls fn(pattern, label) for all 27 variable/bound/ignored combinations
+// of every seed.
+template <typename Fn>
+void ForEachOraclePattern(const std::vector<Triple>& seeds, Fn&& fn) {
+  const Slot kStates[] = {Slot::kVariable, Slot::kBound, Slot::kIgnored};
+  for (const Triple& seed : seeds) {
+    for (Slot s_state : kStates) {
+      for (Slot p_state : kStates) {
+        for (Slot o_state : kStates) {
+          TriplePattern p;
+          ApplySlot(&p, TriPos::kSubject, s_state, seed);
+          ApplySlot(&p, TriPos::kRel, p_state, seed);
+          ApplySlot(&p, TriPos::kObject, o_state, seed);
+          const std::string label =
+              "slots=" + std::to_string(static_cast<int>(s_state)) +
+              std::to_string(static_cast<int>(p_state)) +
+              std::to_string(static_cast<int>(o_state)) + " seed=(" +
+              std::to_string(seed.subject) + "," + std::to_string(seed.rel) +
+              "," + std::to_string(seed.object) + ")";
+          fn(p, label);
+        }
+      }
+    }
+  }
+}
+
+// The documented row order of an ignore-free pattern's matches: with the
+// subject bound (after inverse normalization) (rel, object); else with the
+// object bound (rel, subject); else (rel, subject, object).
+bool RowBefore(const TriplePattern& p, const Triple& a, const Triple& b) {
+  const bool inverse = p.bound(TriPos::kRel) && p.rel() < 0;
+  const bool s_bound = p.bound(inverse ? TriPos::kObject : TriPos::kSubject);
+  const bool o_bound = p.bound(inverse ? TriPos::kSubject : TriPos::kObject);
+  if (s_bound) return std::tie(a.rel, a.object) < std::tie(b.rel, b.object);
+  if (o_bound) return std::tie(a.rel, a.subject) < std::tie(b.rel, b.subject);
+  return std::tie(a.rel, a.subject, a.object) <
+         std::tie(b.rel, b.subject, b.object);
+}
+
+// The brute-force oracle over every combination: each match emitted once,
+// the set equal to the reference semantics, Count equal to the scan, and
+// ignore-free patterns in their documented order.
+void ExpectOracleHolds(const rdf::TripleStore& store,
+                       const std::vector<Triple>& seeds) {
+  const std::vector<Triple> all = AllTriples(store);
+  ForEachOraclePattern(seeds, [&](const TriplePattern& p,
+                                  const std::string& label) {
+    const std::vector<Triple> got = store.Collect(p);
+    const std::set<Key> expect = BruteForce(all, p);
+    EXPECT_EQ(KeySet(got), expect) << label;
+    // Matches are emitted exactly once each.
+    EXPECT_EQ(got.size(), expect.size()) << label;
+    // Count agrees with the scan for every shape.
+    EXPECT_EQ(store.Count(p), expect.size()) << label;
+    if (std::find(std::begin(p.slots), std::end(p.slots), Slot::kIgnored) ==
+        std::end(p.slots)) {
+      EXPECT_TRUE(std::is_sorted(got.begin(), got.end(),
+                                 [&p](const Triple& a, const Triple& b) {
+                                   return RowBefore(p, a, b);
+                                 }))
+          << label;
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------
 // Pattern engine vs brute force
 // ---------------------------------------------------------------------------
 
-class TriIndexQueryTest : public ::testing::Test {
+class PatternQueryTest : public ::testing::Test {
  protected:
   // One ontology with enough shape diversity to make every mask
   // interesting: shared objects across relations, repeated (s, o) pairs
@@ -143,72 +216,30 @@ class TriIndexQueryTest : public ::testing::Test {
     ASSERT_GT(all_.size(), 40u);
   }
 
-  const TriIndex& tri() const { return onto_->store().tri(); }
+  const rdf::TripleStore& store() const { return onto_->store(); }
 
   rdf::TermPool pool_;
   std::optional<ontology::Ontology> onto_;
   std::vector<Triple> all_;
 };
 
-TEST_F(TriIndexQueryTest, DispatchUsesFullBoundPrefixForAllMasks) {
-  // Every bound-position subset must be a prefix of its chosen ordering —
-  // i.e. one range scan, never scan-and-filter. Mask bit i = position i
-  // bound (subject, rel, object).
-  for (int mask = 0; mask < 8; ++mask) {
-    TriplePattern p;
-    if (mask & 1) p.BindSubject(3);
-    if (mask & 2) p.BindRel(1);
-    if (mask & 4) p.BindObject(4);
-    const storage::TriDispatch d = TriIndex::DispatchFor(p);
-    EXPECT_EQ(d.bound_prefix, std::popcount(static_cast<unsigned>(mask)))
-        << "mask=" << mask;
-  }
-}
-
-TEST_F(TriIndexQueryTest, AllSlotCombinationsMatchBruteForce) {
+TEST_F(PatternQueryTest, AllSlotCombinationsMatchBruteForce) {
   Build();
   // All 27 variable/bound/ignored combinations, with bound values drawn
-  // from several real triples (spread across the store) plus one absent
-  // binding. Covers the 8 bound masks, every ignored-dedup shape —
-  // including the non-adjacent ones like (bound s, ignored p, variable o)
-  // — and empty results.
-  std::vector<Triple> seeds = {all_.front(), all_[all_.size() / 3],
-                               all_[2 * all_.size() / 3], all_.back()};
-  seeds.push_back(Triple{all_.front().subject, all_.back().rel,
-                         static_cast<TermId>(pool_.size() + 5)});
-  const Slot kStates[] = {Slot::kVariable, Slot::kBound, Slot::kIgnored};
-  for (const Triple& seed : seeds) {
-    for (Slot s_state : kStates) {
-      for (Slot p_state : kStates) {
-        for (Slot o_state : kStates) {
-          TriplePattern p;
-          ApplySlot(&p, TriPos::kSubject, s_state, seed);
-          ApplySlot(&p, TriPos::kRel, p_state, seed);
-          ApplySlot(&p, TriPos::kObject, o_state, seed);
-          const std::vector<Triple> got = tri().Collect(p);
-          const std::set<Key> expect = BruteForce(all_, p);
-          EXPECT_EQ(KeySet(got), expect)
-              << "slots=" << static_cast<int>(s_state)
-              << static_cast<int>(p_state) << static_cast<int>(o_state)
-              << " seed=(" << seed.subject << "," << seed.rel << ","
-              << seed.object << ")";
-          // Matches are emitted exactly once each.
-          EXPECT_EQ(got.size(), expect.size());
-          // Count agrees with the scan for every shape.
-          EXPECT_EQ(tri().Count(p), expect.size());
-        }
-      }
-    }
-  }
+  // from every real triple plus an absent object, relation 0 and an
+  // out-of-range relation. Covers the 8 bound
+  // masks, every ignored-dedup shape — including the non-adjacent ones
+  // like (bound s, ignored p, variable o) — and empty results.
+  ExpectOracleHolds(store(), OracleSeeds(store(), all_, pool_));
 }
 
-TEST_F(TriIndexQueryTest, InversePatternNormalizesToForwardScan) {
+TEST_F(PatternQueryTest, InversePatternNormalizesToForwardScan) {
   Build();
   const Triple seed = all_[all_.size() / 2];
   // -r with subject/object swapped is the same statement set.
-  const auto forward = tri().Collect(
+  const auto forward = store().Collect(
       TriplePattern().BindSubject(seed.subject).BindRel(seed.rel));
-  const auto inverse = tri().Collect(
+  const auto inverse = store().Collect(
       TriplePattern().BindRel(rdf::Inverse(seed.rel)).BindObject(seed.subject));
   EXPECT_EQ(KeySet(forward), KeySet(inverse));
   ASSERT_FALSE(forward.empty());
@@ -218,31 +249,31 @@ TEST_F(TriIndexQueryTest, InversePatternNormalizesToForwardScan) {
     EXPECT_TRUE(onto_->store().Contains(t.subject, t.rel, t.object));
   }
   // Fully-bound inverse probe.
-  EXPECT_EQ(tri().Count(TriplePattern()
+  EXPECT_EQ(store().Count(TriplePattern()
                             .BindSubject(seed.object)
                             .BindRel(rdf::Inverse(seed.rel))
                             .BindObject(seed.subject)),
             1u);
 }
 
-TEST_F(TriIndexQueryTest, LimitTruncatesDeterministically) {
+TEST_F(PatternQueryTest, LimitTruncatesDeterministically) {
   Build();
   const TriplePattern all;
-  const std::vector<Triple> full = tri().Collect(all);
+  const std::vector<Triple> full = store().Collect(all);
   ASSERT_EQ(full.size(), all_.size());
   for (size_t limit : {size_t{1}, size_t{7}, full.size(), full.size() + 10}) {
-    const std::vector<Triple> part = tri().Collect(all, limit);
+    const std::vector<Triple> part = store().Collect(all, limit);
     ASSERT_EQ(part.size(), std::min(limit, full.size()));
     for (size_t i = 0; i < part.size(); ++i) EXPECT_EQ(part[i], full[i]);
   }
 }
 
-TEST_F(TriIndexQueryTest, DistinctBindingsMatchesBruteForce) {
+TEST_F(PatternQueryTest, DistinctBindingsMatchesBruteForce) {
   Build();
   // Relation inventory of the whole store.
   std::set<uint32_t> rels;
   for (const Triple& t : all_) rels.insert(static_cast<uint32_t>(t.rel));
-  const auto got_rels = tri().DistinctBindings(TriplePattern(), TriPos::kRel);
+  const auto got_rels = store().DistinctBindings(TriplePattern(), TriPos::kRel);
   EXPECT_TRUE(std::is_sorted(got_rels.begin(), got_rels.end()));
   EXPECT_EQ(std::set<uint32_t>(got_rels.begin(), got_rels.end()), rels);
 
@@ -253,17 +284,17 @@ TEST_F(TriIndexQueryTest, DistinctBindingsMatchesBruteForce) {
     if (t.rel == rel) objects.insert(t.object);
   }
   const auto got_objects =
-      tri().DistinctBindings(TriplePattern().BindRel(rel), TriPos::kObject);
+      store().DistinctBindings(TriplePattern().BindRel(rel), TriPos::kObject);
   EXPECT_EQ(std::set<uint32_t>(got_objects.begin(), got_objects.end()),
             objects);
   // Limit keeps the sorted prefix.
-  const auto capped = tri().DistinctBindings(TriplePattern().BindRel(rel),
+  const auto capped = store().DistinctBindings(TriplePattern().BindRel(rel),
                                              TriPos::kObject, 2);
   ASSERT_LE(capped.size(), 2u);
   EXPECT_TRUE(std::equal(capped.begin(), capped.end(), got_objects.begin()));
 }
 
-TEST_F(TriIndexQueryTest, MergeJoinMatchesSetIntersection) {
+TEST_F(PatternQueryTest, MergeJoinMatchesSetIntersection) {
   Build();
   // Self-join: entities that appear as a `knows` object AND a `worksAt`
   // object.
@@ -276,23 +307,23 @@ TEST_F(TriIndexQueryTest, MergeJoinMatchesSetIntersection) {
 
   auto distinct = [&](RelId r) {
     const auto v =
-        tri().DistinctBindings(TriplePattern().BindRel(r), TriPos::kObject);
+        store().DistinctBindings(TriplePattern().BindRel(r), TriPos::kObject);
     return std::set<uint32_t>(v.begin(), v.end());
   };
   std::set<uint32_t> expect;
   std::ranges::set_intersection(distinct(knows), distinct(works),
                                 std::inserter(expect, expect.begin()));
 
-  const std::vector<uint32_t> got = storage::MergeJoin(
-      tri(), TriplePattern().BindRel(knows), TriPos::kObject, tri(),
+  const std::vector<uint32_t> got = rdf::MergeJoin(
+      store(), TriplePattern().BindRel(knows), TriPos::kObject, store(),
       TriplePattern().BindRel(works), TriPos::kObject);
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
   EXPECT_EQ(std::set<uint32_t>(got.begin(), got.end()), expect);
   ASSERT_FALSE(got.empty());
 
   // Limit returns the sorted prefix.
-  const std::vector<uint32_t> capped = storage::MergeJoin(
-      tri(), TriplePattern().BindRel(knows), TriPos::kObject, tri(),
+  const std::vector<uint32_t> capped = rdf::MergeJoin(
+      store(), TriplePattern().BindRel(knows), TriPos::kObject, store(),
       TriplePattern().BindRel(works), TriPos::kObject, 1);
   ASSERT_EQ(capped.size(), 1u);
   EXPECT_EQ(capped[0], got[0]);
@@ -302,7 +333,7 @@ TEST_F(TriIndexQueryTest, MergeJoinMatchesSetIntersection) {
 // Delta maintenance
 // ---------------------------------------------------------------------------
 
-TEST_F(TriIndexQueryTest, MergeDeltaMatchesColdRebuild) {
+TEST_F(PatternQueryTest, MergeDeltaAnswersOracle) {
   Build();
   std::vector<rdf::ParsedTriple> delta;
   auto fact = [](const std::string& s, const std::string& p,
@@ -322,26 +353,23 @@ TEST_F(TriIndexQueryTest, MergeDeltaMatchesColdRebuild) {
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
   EXPECT_EQ(summary->num_new_statements, 3u);
 
-  // The incrementally merged orderings must be indistinguishable from a
-  // from-scratch build over the merged index.
-  const TriIndex rebuilt = TriIndex::Build(onto_->store().index());
-  EXPECT_EQ(onto_->store().tri().num_triples(), onto_->num_triples());
-  ExpectSameRows(onto_->store().tri(), rebuilt);
-
-  // And queries see the new statements.
+  // Queries see the new statements, on every shape.
   all_ = AllTriples(onto_->store());
   const TriplePattern p = TriplePattern().BindSubject(
       *pool_.Find("l:e99", rdf::TermKind::kIri));
-  EXPECT_EQ(KeySet(onto_->store().tri().Collect(p)), BruteForce(all_, p));
+  EXPECT_EQ(KeySet(onto_->store().Collect(p)), BruteForce(all_, p));
+  ExpectOracleHolds(store(), OracleSeeds(store(), all_, pool_));
 }
 
 // ---------------------------------------------------------------------------
-// Persistence: v3 round trip, v2 compatibility, corruption
+// Persistence: v4 round trip, v3 fixture, v2 compatibility, corruption
 // ---------------------------------------------------------------------------
 
-class QuerySnapshotTest : public TriIndexQueryTest {
+class QuerySnapshotTest : public PatternQueryTest {
  protected:
   // Second ontology so the pair snapshot has distinct sides.
+  // tests/data/query_pair_v3.snap holds exactly this pair, written by the
+  // v3 writer; changing the pair means regenerating that fixture.
   void BuildPair() {
     Build();
     ontology::OntologyBuilder rb(&pool_, "right");
@@ -367,85 +395,127 @@ class QuerySnapshotTest : public TriIndexQueryTest {
         TriplePattern().BindObject(all.front().object).IgnoreRel(),
     };
     for (const TriplePattern& p : probes) {
-      EXPECT_EQ(KeySet(got.store().tri().Collect(p)), BruteForce(all, p));
+      EXPECT_EQ(KeySet(got.store().Collect(p)), BruteForce(all, p));
     }
+  }
+
+  // The 27-combination oracle on a loaded side answers exactly like the
+  // freshly built one: same rows in the same order, same counts.
+  void ExpectOracleEqual(const ontology::Ontology& got,
+                         const ontology::Ontology& want) {
+    const std::vector<Triple> all = AllTriples(want.store());
+    ASSERT_EQ(AllTriples(got.store()), all);
+    ForEachOraclePattern(
+        OracleSeeds(want.store(), all, pool_),
+        [&](const TriplePattern& p, const std::string& label) {
+          EXPECT_EQ(got.store().Collect(p), want.store().Collect(p)) << label;
+          EXPECT_EQ(got.store().Count(p), want.store().Count(p)) << label;
+        });
+  }
+
+  static uintmax_t FileSize(const std::string& path) {
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    return static_cast<uintmax_t>(in.tellg());
   }
 
   std::optional<ontology::Ontology> right_;
 };
 
-TEST_F(QuerySnapshotTest, V3RoundTripsStreamAndMmap) {
+TEST_F(QuerySnapshotTest, V4RoundTripsStreamAndMmap) {
   BuildPair();
-  const std::string path = TempPath("query_v3.snap");
+  const std::string path = TempPath("query_v4.snap");
   ASSERT_TRUE(ontology::SaveAlignmentSnapshot(path, *onto_, *right_).ok());
 
   rdf::TermPool stream_pool;
   auto streamed = ontology::LoadAlignmentSnapshot(
       path, &stream_pool, ontology::SnapshotLoadMode::kStream);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  EXPECT_FALSE(streamed->left.store().tri().zero_copy());
-  ExpectSameRows(streamed->left.store().tri(), onto_->store().tri());
-  ExpectSameRows(streamed->right.store().tri(), right_->store().tri());
+  EXPECT_FALSE(streamed->left.store().index().zero_copy());
   ExpectQueriesEqual(streamed->left, *onto_);
   ExpectQueriesEqual(streamed->right, *right_);
+  ExpectOracleEqual(streamed->left, *onto_);
 
   rdf::TermPool mmap_pool;
   auto mapped = ontology::LoadAlignmentSnapshot(
       path, &mmap_pool, ontology::SnapshotLoadMode::kMmap);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  // The tri rows alias the mapping: no heap copies on the mmap path.
-  EXPECT_TRUE(mapped->left.store().tri().zero_copy());
-  EXPECT_TRUE(mapped->right.store().tri().zero_copy());
-  ExpectSameRows(mapped->left.store().tri(), onto_->store().tri());
+  // The CSR columns and relation directory alias the mapping.
+  EXPECT_TRUE(mapped->left.store().index().zero_copy());
+  EXPECT_TRUE(mapped->right.store().index().zero_copy());
   ExpectQueriesEqual(mapped->left, *onto_);
   ExpectQueriesEqual(mapped->right, *right_);
+  ExpectOracleEqual(mapped->right, *right_);
 
-  // Delta ingestion must detach the zero-copy views and keep the merged
-  // orderings equal to a cold rebuild.
+  // Delta ingestion detaches the zero-copy views; queries follow it.
   std::vector<rdf::ParsedTriple> delta(1);
   delta[0].subject = "l:e0";
   delta[0].predicate = "l:knows";
   delta[0].object = "l:e7";
   ASSERT_TRUE(mapped->left.ApplyDelta(delta).ok());
-  EXPECT_FALSE(mapped->left.store().tri().zero_copy());
-  ExpectSameRows(mapped->left.store().tri(),
-                 TriIndex::Build(mapped->left.store().index()));
+  EXPECT_FALSE(mapped->left.store().index().zero_copy());
+  const std::vector<Triple> merged = AllTriples(mapped->left.store());
+  const TriplePattern knows_e0 = TriplePattern().BindSubject(
+      *mmap_pool.Find("l:e0", rdf::TermKind::kIri));
+  EXPECT_EQ(KeySet(mapped->left.store().Collect(knows_e0)),
+            BruteForce(merged, knows_e0));
   std::remove(path.c_str());
 }
 
-TEST_F(QuerySnapshotTest, V2SnapshotLoadsWithRebuiltTriIndex) {
+TEST_F(QuerySnapshotTest, V3FixtureLoadsStreamAndMmap) {
+  BuildPair();
+  // Written by the v3 writer from this fixture's pair (see BuildPair).
+  const std::string v3_path =
+      std::string(PARIS_TEST_DATA_DIR) + "/query_pair_v3.snap";
+  for (const auto mode : {ontology::SnapshotLoadMode::kStream,
+                          ontology::SnapshotLoadMode::kMmap}) {
+    rdf::TermPool fresh;
+    auto loaded = ontology::LoadAlignmentSnapshot(v3_path, &fresh, mode);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_EQ(fresh.size(), pool_.size());
+    ExpectQueriesEqual(loaded->left, *onto_);
+    ExpectQueriesEqual(loaded->right, *right_);
+    ExpectOracleEqual(loaded->left, *onto_);
+    ExpectOracleEqual(loaded->right, *right_);
+  }
+
+  // The same pair at v4 drops the three 12-byte triple orderings.
+  const std::string v4_path = TempPath("query_pair_v4.snap");
+  ASSERT_TRUE(ontology::SaveAlignmentSnapshot(v4_path, *onto_, *right_).ok());
+  EXPECT_LT(FileSize(v4_path), FileSize(v3_path));
+  std::remove(v4_path.c_str());
+}
+
+TEST_F(QuerySnapshotTest, V2SnapshotLoadsWithRebuiltDirectory) {
   BuildPair();
   const std::string path = TempPath("query_v2.snap");
-  // Write the previous on-disk format: no directory, no tri-row columns.
+  // Write the oldest on-disk format: CSR/POS only, no directory.
   ASSERT_TRUE(ontology::SaveAlignmentSnapshot(path, *onto_, *right_,
                                               storage::kMinSnapshotVersion)
                   .ok());
-  // A v2 file is strictly smaller than the same pair at v3.
-  const std::string v3_path = TempPath("query_v2_as_v3.snap");
-  ASSERT_TRUE(ontology::SaveAlignmentSnapshot(v3_path, *onto_, *right_).ok());
-  std::ifstream v2_in(path, std::ios::binary | std::ios::ate);
-  std::ifstream v3_in(v3_path, std::ios::binary | std::ios::ate);
-  EXPECT_LT(v2_in.tellg(), v3_in.tellg());
+  // A v2 file is strictly smaller than the same pair at v4.
+  const std::string v4_path = TempPath("query_v2_as_v4.snap");
+  ASSERT_TRUE(ontology::SaveAlignmentSnapshot(v4_path, *onto_, *right_).ok());
+  EXPECT_LT(FileSize(path), FileSize(v4_path));
 
   for (const auto mode : {ontology::SnapshotLoadMode::kStream,
                           ontology::SnapshotLoadMode::kMmap}) {
     rdf::TermPool fresh;
     auto loaded = ontology::LoadAlignmentSnapshot(path, &fresh, mode);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    // The tri index is rebuilt in memory and answers identically.
-    ExpectSameRows(loaded->left.store().tri(), onto_->store().tri());
-    ExpectSameRows(loaded->right.store().tri(), right_->store().tri());
+    // The directory is rebuilt in memory and queries answer identically.
     ExpectQueriesEqual(loaded->left, *onto_);
     ExpectQueriesEqual(loaded->right, *right_);
+    ExpectOracleEqual(loaded->left, *onto_);
   }
   std::remove(path.c_str());
-  std::remove(v3_path.c_str());
+  std::remove(v4_path.c_str());
 }
 
 TEST_F(QuerySnapshotTest, UnsupportedWriteVersionRejected) {
   BuildPair();
   const std::string path = TempPath("query_bad_version.snap");
-  for (uint32_t version : {uint32_t{0}, uint32_t{1},
+  // v3 still loads but is no longer written.
+  for (uint32_t version : {uint32_t{0}, uint32_t{1}, uint32_t{3},
                            storage::kSnapshotVersion + 1}) {
     const auto status =
         ontology::SaveAlignmentSnapshot(path, *onto_, *right_, version);
@@ -454,7 +524,7 @@ TEST_F(QuerySnapshotTest, UnsupportedWriteVersionRejected) {
   }
 }
 
-TEST_F(QuerySnapshotTest, CorruptTriColumnsRejected) {
+TEST_F(QuerySnapshotTest, CorruptV4ColumnsRejected) {
   BuildPair();
   const std::string path = TempPath("query_corrupt_base.snap");
   ASSERT_TRUE(ontology::SaveAlignmentSnapshot(path, *onto_, *right_).ok());
@@ -465,9 +535,9 @@ TEST_F(QuerySnapshotTest, CorruptTriColumnsRejected) {
     buffer << in.rdbuf();
     bytes = buffer.str();
   }
-  // Flip bytes across the second half of the file — where the appended v3
-  // columns (directory + tri rows) of the left section live — and require
-  // every flip to be caught (section checksum or FromColumns validation).
+  // Flip bytes across the second half of the v4 file — where the left
+  // section's relation directory and the right section live — and require
+  // every flip to be caught (section checksum or column validation).
   const std::string bad_path = TempPath("query_corrupt.snap");
   for (size_t offset = bytes.size() / 2; offset < bytes.size();
        offset += 1 + bytes.size() / 31) {
@@ -518,7 +588,7 @@ TEST(SessionQueryTest, QueriesBothSidesThroughFacade) {
   auto left = session.Query(api::Session::DeltaSide::kLeft, TriplePattern());
   ASSERT_TRUE(left.ok()) << left.status().ToString();
   EXPECT_EQ(left->size(), 2u);
-  EXPECT_EQ(KeySet(*left), KeySet(session.left().store().tri().Collect({})));
+  EXPECT_EQ(KeySet(*left), KeySet(session.left().store().Collect({})));
 
   auto right =
       session.Query(api::Session::DeltaSide::kRight, TriplePattern(), 1);
@@ -545,7 +615,8 @@ TEST(QueryFastPathTest, AlignerByteIdenticalAcrossThreadsAndShards) {
       b.AddType(e, ns + (i % 2 ? ":Person" : ":Artist"));
       b.AddLiteralFact(e, ns + ":" + label_rel, "Name " + std::to_string(i));
       b.AddLiteralFact(e, ns + ":city", "City " + std::to_string(i % 4));
-      b.AddFact(e, ns + ":" + link_rel, ns + ":e" + std::to_string((i + 1) % 24));
+      b.AddFact(e, ns + ":" + link_rel,
+                ns + ":e" + std::to_string((i + 1) % 24));
       b.AddFact(e, ns + ":emp", ns + ":e" + std::to_string((i + 7) % 24));
     }
     return b.Build();
